@@ -419,9 +419,13 @@ func PredictWithEA(s Scenario, eaPolicy, eaNever float64, simQueries int) (Predi
 	// Target aggregate mean service time under the policy.
 	target := s.ExpService / clampRate(eaPolicy*s.BoostRatio, 0.1, 3)
 
+	// One simulator serves the bisection: its runs differ only in
+	// BoostRate, so all but the first read the first one's draws. The
+	// Result returned below aliases it and is not overwritten after.
+	sim := queueing.NewSimulator()
 	simulate := func(m float64) (queueing.Result, float64, error) {
 		cfg.BoostRate = m
-		res, err := queueing.Simulate(cfg)
+		res, err := sim.Run(cfg)
 		if err != nil {
 			return queueing.Result{}, 0, err
 		}

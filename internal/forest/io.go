@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 )
 
 // treeDTO is the serialised form of a Tree (exported fields for gob).
@@ -51,13 +52,24 @@ func (t *Tree) UnmarshalBinary(data []byte) error {
 	if len(dto.Thresh) != n || len(dto.Left) != n || len(dto.Right) != n || len(dto.Value) != n {
 		return fmt.Errorf("forest: corrupt tree encoding")
 	}
+	if n == 0 {
+		return fmt.Errorf("forest: tree has no nodes")
+	}
 	t.nodes = make([]node, n)
 	for i := range t.nodes {
 		left, right := dto.Left[i], dto.Right[i]
 		if dto.Feature[i] >= 0 {
-			if left < 0 || int(left) >= n || right < 0 || int(right) >= n {
-				return fmt.Errorf("forest: tree child index out of range")
+			// The builder appends children after their parent, so
+			// parent < child < n holds for every trained tree and proves
+			// the decoded tree acyclic: Predict's walk strictly advances.
+			if int(left) <= i || int(left) >= n || int(right) <= i || int(right) >= n {
+				return fmt.Errorf("forest: node %d has child index out of range (%d, %d)", i, left, right)
 			}
+			if math.IsNaN(dto.Thresh[i]) || math.IsInf(dto.Thresh[i], 0) {
+				return fmt.Errorf("forest: node %d has non-finite threshold", i)
+			}
+		} else if math.IsNaN(dto.Value[i]) || math.IsInf(dto.Value[i], 0) {
+			return fmt.Errorf("forest: leaf %d has non-finite value", i)
 		}
 		t.nodes[i] = node{
 			feature: int(dto.Feature[i]),

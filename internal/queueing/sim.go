@@ -12,6 +12,7 @@ package queueing
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"stac/internal/obs"
 	"stac/internal/stats"
@@ -110,12 +111,36 @@ func (r Result) MeanQueueDelay() float64 { return stats.Mean(r.QueueDelays) }
 // The Result returned by Run aliases the simulator's buffers and is
 // overwritten by the next Run; callers that retain it must copy.
 // Numerics are bit-identical to Simulate (TestSimulatorMatchesSimulate).
+//
+// The simulator also keeps a table of the standard variates its runs
+// draw (stats.Dist splits every sampler into a parameter-free draw and a
+// transform). The table is keyed by (seed, arrival variate, service
+// variate): a run whose key matches reads the draws a previous run made
+// — the common-random-number case of a search sweeping parameters under
+// one seed — and extends the table from the retained RNG when it needs
+// more queries. A run with a new key refills the table with exactly the
+// draws Simulate makes, in the same order (per query, arrival then
+// service). Either way every run computes what an inline-drawing run
+// would, bit for bit (TestSimulatorMatchesReference).
 type Simulator struct {
 	rng        *stats.RNG
+	drawKey    drawKey
+	draws      []queryDraw
 	serverFree []float64
 	resp       []float64
 	delays     []float64
 	arrs       []float64
+}
+
+// drawKey identifies the stream a draw table holds.
+type drawKey struct {
+	seed             uint64
+	arrival, service stats.Variate
+}
+
+// queryDraw is one query's standard variates.
+type queryDraw struct {
+	arrival, service float64
 }
 
 // NewSimulator returns a simulator with empty buffers; they grow to the
@@ -137,18 +162,35 @@ func Simulate(cfg Config) (Result, error) {
 	return s.Run(cfg)
 }
 
+// standardDraws returns the first total queries' standard variates for
+// cfg's key, drawing only those the table does not hold yet.
+func (s *Simulator) standardDraws(cfg Config, total int) []queryDraw {
+	arrival, service := cfg.Arrival.Standard(), cfg.Service.Standard()
+	key := drawKey{seed: cfg.Seed, arrival: arrival, service: service}
+	if s.rng == nil {
+		s.rng = stats.NewRNG(cfg.Seed)
+		s.drawKey = key
+	} else if key != s.drawKey {
+		s.rng.Reseed(cfg.Seed)
+		s.drawKey = key
+		s.draws = s.draws[:0]
+	}
+	if len(s.draws) < total {
+		s.draws = slices.Grow(s.draws, total-len(s.draws))
+	}
+	for len(s.draws) < total {
+		a := arrival.Draw(s.rng)
+		s.draws = append(s.draws, queryDraw{arrival: a, service: service.Draw(s.rng)})
+	}
+	return s.draws[:total]
+}
+
 // Run executes one simulation, reusing the simulator's buffers.
 func (s *Simulator) Run(cfg Config) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	if s.rng == nil {
-		s.rng = stats.NewRNG(cfg.Seed)
-	} else {
-		s.rng.Reseed(cfg.Seed)
-	}
-	rng := s.rng
-	total := cfg.Queries + cfg.Warmup
+	draws := s.standardDraws(cfg, cfg.Queries+cfg.Warmup)
 
 	// serverFree[i] is when server i next becomes idle; FCFS assigns each
 	// arrival to the earliest-free server (equivalent to a single queue).
@@ -174,9 +216,9 @@ func (s *Simulator) Run(cfg Config) (Result, error) {
 	}
 	boosted := 0
 	now := 0.0
-	for q := 0; q < total; q++ {
-		now += cfg.Arrival.Sample(rng)
-		work := cfg.Service.Sample(rng)
+	for q, d := range draws {
+		now += cfg.Arrival.Transform(d.arrival)
+		work := cfg.Service.Transform(d.service)
 		if work <= 0 {
 			work = 1e-12
 		}

@@ -5,12 +5,64 @@ import "math"
 // Dist is a one-dimensional probability distribution that can be sampled
 // with an explicit RNG. Implementations must be safe for concurrent use as
 // long as each goroutine supplies its own RNG.
+//
+// Every Dist splits its sampler into a parameter-free standard draw and a
+// deterministic transform: Sample(r) is Transform(Standard().Draw(r)), bit
+// for bit, because Sample is written as exactly that composition. The RNG
+// consumption of a draw depends only on its Variate, never on the
+// distribution's parameters, so callers that sample many differently
+// parameterised distributions from the same seed (Stage-3 simulations)
+// can draw the standard variates once and transform them per run.
 type Dist interface {
 	// Sample draws one value.
 	Sample(r *RNG) float64
 	// Mean returns the distribution mean.
 	Mean() float64
+	// Standard names the parameter-free draw Sample consumes.
+	Standard() Variate
+	// Transform maps one standard draw to a sample of this distribution.
+	Transform(z float64) float64
 }
+
+// Variate names a parameter-free standard draw. Two distributions with the
+// same Variate consume the RNG identically.
+type Variate uint8
+
+const (
+	// NoVariate consumes no randomness; Draw returns 0.
+	NoVariate Variate = iota
+	// UniformVariate is U in [0, 1): one Float64.
+	UniformVariate
+	// ComplementVariate is 1−U in (0, 1]: one Float64, never 0.
+	ComplementVariate
+	// ExpVariate is a standard exponential −ln(1−U): one Float64.
+	ExpVariate
+	// NormalVariate is a standard normal by the polar method: two or more
+	// Float64s (rejection looks only at the uniforms).
+	NormalVariate
+)
+
+// Draw takes one standard draw of kind v from r.
+func (v Variate) Draw(r *RNG) float64 {
+	switch v {
+	case UniformVariate:
+		return r.Float64()
+	case ComplementVariate:
+		return drawComplement(r)
+	case ExpVariate:
+		return drawExp(r)
+	case NormalVariate:
+		return r.NormFloat64()
+	}
+	return 0
+}
+
+// drawComplement returns 1−U, which is in (0,1] and so safe for Log and
+// for a negative power.
+func drawComplement(r *RNG) float64 { return 1 - r.Float64() }
+
+// drawExp returns a standard exponential variate by inversion.
+func drawExp(r *RNG) float64 { return -math.Log(drawComplement(r)) }
 
 // Exponential is an exponential distribution with the given rate λ.
 // Its mean is 1/λ. Used for query inter-arrival times (the paper uses
@@ -20,10 +72,13 @@ type Exponential struct {
 }
 
 // Sample draws an exponential variate by inversion.
-func (e Exponential) Sample(r *RNG) float64 {
-	// 1-Float64() is in (0,1], avoiding Log(0).
-	return -math.Log(1-r.Float64()) / e.Rate
-}
+func (e Exponential) Sample(r *RNG) float64 { return e.Transform(drawExp(r)) }
+
+// Standard returns ExpVariate.
+func (Exponential) Standard() Variate { return ExpVariate }
+
+// Transform scales a standard exponential draw to rate Rate.
+func (e Exponential) Transform(z float64) float64 { return z / e.Rate }
 
 // Mean returns 1/Rate.
 func (e Exponential) Mean() float64 { return 1 / e.Rate }
@@ -37,9 +92,13 @@ type Lognormal struct {
 }
 
 // Sample draws a lognormal variate.
-func (l Lognormal) Sample(r *RNG) float64 {
-	return math.Exp(l.Mu + l.Sigma*r.NormFloat64())
-}
+func (l Lognormal) Sample(r *RNG) float64 { return l.Transform(r.NormFloat64()) }
+
+// Standard returns NormalVariate.
+func (Lognormal) Standard() Variate { return NormalVariate }
+
+// Transform maps a standard normal draw z to exp(Mu + Sigma·z).
+func (l Lognormal) Transform(z float64) float64 { return math.Exp(l.Mu + l.Sigma*z) }
 
 // Mean returns exp(Mu + Sigma^2/2).
 func (l Lognormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
@@ -66,9 +125,13 @@ type Pareto struct {
 }
 
 // Sample draws a Pareto variate by inversion.
-func (p Pareto) Sample(r *RNG) float64 {
-	return p.Xm / math.Pow(1-r.Float64(), 1/p.Alpha)
-}
+func (p Pareto) Sample(r *RNG) float64 { return p.Transform(drawComplement(r)) }
+
+// Standard returns ComplementVariate.
+func (Pareto) Standard() Variate { return ComplementVariate }
+
+// Transform inverts the Pareto CDF at the complement draw z = 1−U.
+func (p Pareto) Transform(z float64) float64 { return p.Xm / math.Pow(z, 1/p.Alpha) }
 
 // Mean returns α·xm/(α−1); it panics when Alpha <= 1 (infinite mean).
 func (p Pareto) Mean() float64 {
@@ -87,6 +150,12 @@ type Deterministic struct {
 // Sample returns Value.
 func (d Deterministic) Sample(*RNG) float64 { return d.Value }
 
+// Standard returns NoVariate: Deterministic consumes no randomness.
+func (Deterministic) Standard() Variate { return NoVariate }
+
+// Transform returns Value.
+func (d Deterministic) Transform(float64) float64 { return d.Value }
+
 // Mean returns Value.
 func (d Deterministic) Mean() float64 { return d.Value }
 
@@ -96,7 +165,13 @@ type Uniform struct {
 }
 
 // Sample draws a uniform variate.
-func (u Uniform) Sample(r *RNG) float64 { return u.Lo + (u.Hi-u.Lo)*r.Float64() }
+func (u Uniform) Sample(r *RNG) float64 { return u.Transform(r.Float64()) }
+
+// Standard returns UniformVariate.
+func (Uniform) Standard() Variate { return UniformVariate }
+
+// Transform maps U in [0,1) onto [Lo, Hi).
+func (u Uniform) Transform(z float64) float64 { return u.Lo + (u.Hi-u.Lo)*z }
 
 // Mean returns the midpoint.
 func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }

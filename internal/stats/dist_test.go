@@ -177,3 +177,27 @@ func TestZipfGuideMatchesBinarySearch(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleIsTransformOfStandardDraw pins the split every Dist declares:
+// Sample consumes the RNG exactly as its standard draw does and returns
+// the transform of that draw, bit for bit.
+func TestSampleIsTransformOfStandardDraw(t *testing.T) {
+	for _, d := range []Dist{
+		Exponential{Rate: 3},
+		LognormalFromMeanCV(0.002, 0.8),
+		Pareto{Xm: 1.5, Alpha: 2.2},
+		Uniform{Lo: -1, Hi: 4},
+		Deterministic{Value: 0.7},
+	} {
+		a, b := NewRNG(17), NewRNG(17)
+		for i := 0; i < 2000; i++ {
+			got, want := d.Sample(a), d.Transform(d.Standard().Draw(b))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%T draw %d: Sample %v, transformed standard draw %v", d, i, got, want)
+			}
+		}
+		if *a != *b {
+			t.Fatalf("%T: Sample and the standard draw left the RNG in different states", d)
+		}
+	}
+}

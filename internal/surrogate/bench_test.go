@@ -21,7 +21,9 @@ func benchSearcher(b *testing.B) *Searcher {
 
 // BenchmarkSurrogateEvaluate is the fast path's per-plan cost: analytical
 // model + memoised queueing sims. Paired with BenchmarkTestbedReplayPlan
-// it yields the speedup ratio recorded in BENCH_mrc.json.
+// it yields the speedup ratio recorded in BENCH_mrc.json. It cycles plans
+// through one warm Searcher, so after the first sweep it mostly times
+// memo hits; BenchmarkSurrogateSearch times the cold sweep.
 func BenchmarkSurrogateEvaluate(b *testing.B) {
 	s := benchSearcher(b)
 	plans := s.EnumeratePlans()
@@ -52,5 +54,19 @@ func BenchmarkTestbedReplayPlan(b *testing.B) {
 func BenchmarkSearcherSetup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchSearcher(b)
+	}
+}
+
+// BenchmarkSurrogateSearch is one whole search as a caller runs it: a
+// fresh Searcher (curves, anchors, baseline) and the full 4294-plan sweep
+// with the searcher's simulation memo cold, so every distinct simulation
+// runs. The testbed's process-wide calibration memo behind the anchors
+// stays warm after the first op.
+func BenchmarkSurrogateSearch(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		s := benchSearcher(b)
+		if _, err := s.Search(s.EnumeratePlans()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -116,7 +116,7 @@ func quant(v float64) int64 {
 
 // Searcher evaluates mask plans with the surrogate stack. Construct with
 // New; methods are not safe for concurrent use (the sim cache is a plain
-// map).
+// map and the simulator is reused).
 type Searcher struct {
 	cfg    Config
 	models [2]*Model
@@ -128,6 +128,10 @@ type Searcher struct {
 
 	sims    map[simKey]simOut
 	simRuns int
+	// sim runs every Stage-3 simulation. All of them use one seed and the
+	// same arrival and service families, so after the first run each
+	// reads its standard variates from the simulator's draw table.
+	sim *queueing.Simulator
 }
 
 // servers is the per-service parallelism of the evaluation conditions.
@@ -140,7 +144,8 @@ func New(cfg Config) (*Searcher, error) {
 	if cfg.LoadA <= 0 || cfg.LoadA >= 1 || cfg.LoadB <= 0 || cfg.LoadB >= 1 {
 		return nil, fmt.Errorf("surrogate: loads (%v, %v) outside (0,1)", cfg.LoadA, cfg.LoadB)
 	}
-	s := &Searcher{cfg: cfg, loads: [2]float64{cfg.LoadA, cfg.LoadB}, sims: map[simKey]simOut{}}
+	s := &Searcher{cfg: cfg, loads: [2]float64{cfg.LoadA, cfg.LoadB},
+		sims: map[simKey]simOut{}, sim: queueing.NewSimulator()}
 	for i, k := range []workload.Kernel{cfg.KernelA, cfg.KernelB} {
 		var curve mrc.CapacityCurve
 		if cfg.Intervals != nil {
@@ -191,9 +196,6 @@ func New(cfg Config) (*Searcher, error) {
 	s.baseP95 = base.P95
 	return s, nil
 }
-
-// Models exposes the per-service analytical models (A, B).
-func (s *Searcher) Models() [2]*Model { return s.models }
 
 // SimRuns reports how many queueing simulations actually ran (cache
 // misses) — the honest denominator for plans-per-simulation claims.
@@ -396,7 +398,7 @@ func (s *Searcher) simulate(cfg queueing.Config) (simOut, error) {
 	if out, ok := s.sims[key]; ok {
 		return out, nil
 	}
-	res, err := queueing.Simulate(cfg)
+	res, err := s.sim.Run(cfg)
 	if err != nil {
 		return simOut{}, err
 	}
